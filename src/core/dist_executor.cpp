@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 
 #include "comm/wire.hpp"
 #include "obs/telemetry.hpp"
@@ -139,12 +140,24 @@ void DistributedExecutor::worker_loop(int rank) {
     worker_loop_impl(rank);
   } catch (...) {
     // A throwing stage function (or a malformed payload) ends the
-    // stream: capture the first error; the controller loop notices it
-    // within one poll tick and shuts the fleet down, and
-    // stream_finish() rethrows it to the caller.
-    util::MutexLock lock(stream_mutex_);
-    if (!stream_error_) stream_error_ = std::current_exception();
+    // stream: capture the first error and wake the controller, which
+    // shuts the fleet down; stream_finish() rethrows it to the caller.
+    bool wake = false;
+    {
+      util::MutexLock lock(stream_mutex_);
+      if (!stream_error_) stream_error_ = std::current_exception();
+      wake = claim_wake_locked();
+    }
+    if (wake) send_wake();
   }
+}
+
+bool DistributedExecutor::claim_wake_locked() {
+  return std::exchange(parked_, false);
+}
+
+void DistributedExecutor::send_wake() {
+  comm_.send(controller_rank(), controller_rank(), kWake, {});
 }
 
 void DistributedExecutor::worker_loop_impl(int rank) {
@@ -377,6 +390,7 @@ void DistributedExecutor::controller_loop() {
                            config_.obs);
       pool_.release(std::move(message.payload));
     }
+    // kWake carries nothing: receiving it was the whole point.
   };
 
   for (;;) {
@@ -385,6 +399,7 @@ void DistributedExecutor::controller_loop() {
     bool done = false;
     {
       util::MutexLock lock(stream_mutex_);
+      parked_ = false;
       while (!incoming_.empty()) {
         pending.push_back(std::move(incoming_.front()));
         incoming_.pop_front();
@@ -399,16 +414,32 @@ void DistributedExecutor::controller_loop() {
     }
     if (done) break;
 
-    // Wait at most until the next adaptation point, capped at 50 ms real
-    // either way: nothing wakes recv_for on a stream_push/stream_close,
-    // so the cap is what bounds the latency of noticing one.
-    double wait_real = 0.05;
-    if (epoch > 0.0) {
-      wait_real = std::clamp((next_epoch - virtual_now()) * config_.time_scale,
-                             1e-3, 0.05);
+    // Park until the next adaptation point (1 ms floor), or with no
+    // timeout when adaptation is off. The window state is taken here,
+    // after admission, so a push only wakes the loop when it could
+    // actually be admitted; anything that raced in since the top of the
+    // loop turns the park into a non-blocking receive instead.
+    bool ready = false;
+    {
+      util::MutexLock lock(stream_mutex_);
+      const bool room = admitted - completed < config_.window;
+      ready = (room && !incoming_.empty()) ||
+              (closed_ && completed == pushed_) || stream_error_ != nullptr;
+      if (!ready) {
+        parked_ = true;
+        window_open_ = room;
+      }
     }
-    auto message =
-        comm_.recv_for(me, std::chrono::duration<double>(wait_real));
+    std::optional<comm::Message> message;
+    if (ready) {
+      message = comm_.try_recv(me);
+    } else if (epoch > 0.0) {
+      const double wait_real = std::max(
+          (next_epoch - virtual_now()) * config_.time_scale, 1e-3);
+      message = comm_.recv_for(me, std::chrono::duration<double>(wait_real));
+    } else {
+      message = comm_.recv(me);
+    }
     if (message) {
       handle(*message);
       // Results tend to arrive in bursts; drain whatever else is already
@@ -451,6 +482,8 @@ void DistributedExecutor::stream_begin() {
     completed_count_ = 0;
     closed_ = false;
     stream_error_ = nullptr;
+    parked_ = false;
+    window_open_ = false;
     status_mapping_ = initial_mapping_.to_string();
     status_admitted_ = 0;
   }
@@ -469,12 +502,17 @@ void DistributedExecutor::stream_begin() {
 }
 
 void DistributedExecutor::stream_push(Bytes item) {
-  util::MutexLock lock(stream_mutex_);
-  if (!stream_active_ || closed_) {
-    throw std::logic_error("DistributedExecutor: push on a closed stream");
+  bool wake = false;
+  {
+    util::MutexLock lock(stream_mutex_);
+    if (!stream_active_ || closed_) {
+      throw std::logic_error("DistributedExecutor: push on a closed stream");
+    }
+    incoming_.emplace_back(pushed_++, std::move(item));
+    if (obs_metrics_.items_pushed) obs_metrics_.items_pushed->add(1);
+    wake = window_open_ && claim_wake_locked();
   }
-  incoming_.emplace_back(pushed_++, std::move(item));
-  if (obs_metrics_.items_pushed) obs_metrics_.items_pushed->add(1);
+  if (wake) send_wake();
 }
 
 std::optional<Bytes> DistributedExecutor::stream_try_pop() {
@@ -497,8 +535,13 @@ std::optional<Bytes> DistributedExecutor::stream_try_pop() {
 }
 
 void DistributedExecutor::stream_close() {
-  util::MutexLock lock(stream_mutex_);
-  closed_ = true;
+  bool wake = false;
+  {
+    util::MutexLock lock(stream_mutex_);
+    closed_ = true;
+    wake = claim_wake_locked();
+  }
+  if (wake) send_wake();
 }
 
 RunReport DistributedExecutor::stream_finish() {

@@ -30,7 +30,11 @@
 // The runtime is natively streaming: the controller rank runs on a
 // dedicated thread, stream_push() enqueues items it admits under the
 // credit window, stream_try_pop() returns outputs in input order, and
-// run() is a batch wrapper over one stream.
+// run() is a batch wrapper over one stream. The controller blocks in its
+// receive until a message arrives or the next adaptation epoch is due;
+// a push into an open credit window, a close and a worker's captured
+// stage exception wake it with a zero-byte kWake self-message (at most
+// one per park).
 
 #include <atomic>
 #include <deque>
@@ -130,6 +134,9 @@ class DistributedExecutor : private control::AdaptationHost {
   static constexpr int kShutdown = 4;
   static constexpr int kSpeedObs = 5;
   static constexpr int kTelemetry = 6;
+  /// Controller self-wake. Negative like Communicator's collective tags,
+  /// so it can never collide with a FrameKind mirror (7 is kHealth).
+  static constexpr int kWake = -2;
 
   /// Wire format helpers (public for tests); thin delegates to the
   /// shared comm::wire codec, so the proc runtime speaks the same bytes.
@@ -168,6 +175,11 @@ class DistributedExecutor : private control::AdaptationHost {
   /// observations, runs the adaptation epochs, and broadcasts kShutdown
   /// once the stream is closed and drained (or a worker failed).
   void controller_loop();
+  /// Claims the wake of a parked controller (at most one per park); the
+  /// caller sends it with send_wake() after dropping the lock, so a full
+  /// controller queue can never block a sender that holds stream_mutex_.
+  bool claim_wake_locked() GRIDPIPE_REQUIRES(stream_mutex_);
+  void send_wake();
 
   int controller_rank() const noexcept {
     return static_cast<int>(grid_.num_nodes());
@@ -213,6 +225,13 @@ class DistributedExecutor : private control::AdaptationHost {
   /// First stage exception; ends the stream and is rethrown by
   /// stream_finish().
   std::exception_ptr stream_error_ GRIDPIPE_GUARDED_BY(stream_mutex_);
+  /// Set by the controller just before it blocks in its receive; cleared
+  /// by the first wake claim and at the top of every loop pass.
+  bool parked_ GRIDPIPE_GUARDED_BY(stream_mutex_) = false;
+  /// The credit window had room when the controller parked. A push into
+  /// a full window needs no wake: only a result can make progress, and a
+  /// result is itself a message that ends the receive.
+  bool window_open_ GRIDPIPE_GUARDED_BY(stream_mutex_) = false;
   /// Virtual admission time per in-flight item (controller thread only;
   /// for latency metrics).
   std::map<std::uint64_t, double> admit_time_;

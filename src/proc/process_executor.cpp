@@ -4,7 +4,9 @@
 #include <array>
 #include <bit>
 #include <cerrno>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <system_error>
@@ -12,6 +14,7 @@
 #include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
+#include <sys/eventfd.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -171,6 +174,10 @@ void ProcessExecutor::spawn_worker(std::size_t node,
     // mid-operation here.)
     for (Worker& w : workers_) w.sock.close();
     parent_end.close();
+    // The controller's wake eventfd is parent-only. (Read unlocked on
+    // purpose: this is the fork's copy, and the calling thread is the
+    // only one that ever writes the descriptor mid-stream.)
+    if (wake_fd_ >= 0) ::close(wake_fd_);
     // Keep our own doorbell read end plus every write end; siblings'
     // read ends are theirs alone.
     for (std::size_t i = 0; i < bells_.size(); ++i) {
@@ -427,11 +434,57 @@ void ProcessExecutor::handle_frame(std::size_t source,
   }
 }
 
+int ProcessExecutor::poll_timeout_ms(double next_epoch) const {
+  // Every candidate is a real deadline; with none pending the loop
+  // sleeps until a worker socket or the wake eventfd fires.
+  double wait_real = std::numeric_limits<double>::infinity();
+  if (config_.adapt.epoch > 0.0) {
+    wait_real = std::max((next_epoch - virtual_now()) * config_.time_scale,
+                         1e-3);
+  }
+  if (config_.stall_after > 0.0) {
+    // A stall is flagged at most a quarter-threshold late.
+    wait_real = std::min(
+        wait_real, std::max(config_.stall_after * 0.25 * config_.time_scale,
+                            1e-3));
+  }
+  const auto now = std::chrono::steady_clock::now();
+  for (const auto& at : respawn_at_) {
+    if (!at) continue;
+    wait_real = std::min(
+        wait_real,
+        std::max(std::chrono::duration<double>(*at - now).count(), 0.0));
+  }
+  if (std::isinf(wait_real)) return -1;
+  return static_cast<int>(std::min(
+      std::ceil(wait_real * 1e3),
+      static_cast<double>(std::numeric_limits<int>::max())));
+}
+
+void ProcessExecutor::wake_locked() {
+  if (!parked_) return;
+  parked_ = false;
+  const std::uint64_t one = 1;
+  // Nonblocking, and the loop reads the counter empty after every poll,
+  // so the write cannot fail for want of room.
+  [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof(one));
+}
+
+void ProcessExecutor::close_wake_fd() noexcept {
+  util::MutexLock lock(stream_mutex_);
+  if (wake_fd_ >= 0) ::close(wake_fd_);
+  wake_fd_ = -1;
+  parked_ = false;
+}
+
 void ProcessExecutor::event_loop() {
   const double epoch = config_.adapt.epoch;
   double next_epoch = epoch;
 
-  std::vector<pollfd> fds(workers_.size());
+  // One slot per worker socket, plus the wake eventfd last.
+  std::vector<pollfd> fds(workers_.size() + 1);
+  pollfd& wake = fds.back();
+  wake = {wake_fd_, POLLIN, 0};
   for (;;) {
     // Recovery housekeeping first: supervisor decisions for fresh
     // deaths, respawns whose backoff expired, requested arrivals. All
@@ -446,6 +499,7 @@ void ProcessExecutor::event_loop() {
     bool done = false;
     {
       util::MutexLock lock(stream_mutex_);
+      parked_ = false;
       while (!incoming_.empty()) {
         pending_.push_back(std::move(incoming_.front()));
         incoming_.pop_front();
@@ -480,13 +534,22 @@ void ProcessExecutor::event_loop() {
       return;
     }
 
-    // Wait at most until the next adaptation point, capped at 50 ms real
-    // either way: nothing wakes poll() on a stream_push/stream_close, so
-    // the cap is what bounds the latency of noticing one.
-    double wait_real = 0.05;
-    if (epoch > 0.0) {
-      wait_real = std::clamp((next_epoch - virtual_now()) * config_.time_scale,
-                             1e-3, 0.05);
+    // Park until the nearest deadline. The window state is taken here,
+    // after admission, so a push only wakes the loop when it could
+    // actually be admitted. Anything that raced in since the top of the
+    // loop (a push with room, a close that drains the stream, an
+    // arrival) turns the park into a non-blocking poll instead.
+    int timeout_ms = poll_timeout_ms(next_epoch);
+    {
+      util::MutexLock lock(stream_mutex_);
+      const bool room = admitted_ - completed_ < config_.window;
+      if ((room && !incoming_.empty()) ||
+          (closed_ && completed_ == pushed_) || !arrivals_.empty()) {
+        timeout_ms = 0;
+      } else {
+        parked_ = true;
+        window_open_ = room;
+      }
     }
     for (std::size_t i = 0; i < workers_.size(); ++i) {
       fds[i].fd = workers_[i].sock.fd();
@@ -494,12 +557,18 @@ void ProcessExecutor::event_loop() {
       if (workers_[i].sock.pending_out() > 0) fds[i].events |= POLLOUT;
       fds[i].revents = 0;
     }
-    const int timeout_ms = std::max(1, static_cast<int>(wait_real * 1e3));
+    wake.revents = 0;
     const int ready = ::poll(fds.data(), fds.size(), timeout_ms);
     if (ready < 0 && errno != EINTR) {
+      const int err = errno;  // kill_fleet's close/waitpid clobber errno
       kill_fleet();
       throw std::runtime_error(std::string("ProcessExecutor: poll: ") +
-                               describe_errno(errno));
+                               describe_errno(err));
+    }
+    if (ready > 0 && (wake.revents & POLLIN) != 0) {
+      std::uint64_t wakes = 0;  // one read empties the counter
+      [[maybe_unused]] const ssize_t n =
+          ::read(wake.fd, &wakes, sizeof(wakes));
     }
 
     for (std::size_t i = 0; i < workers_.size() && ready > 0; ++i) {
@@ -638,6 +707,7 @@ void ProcessExecutor::kill_fleet() noexcept {
   }
   workers_.clear();
   close_parent_bells();
+  close_wake_fd();
   rings_ = ShmRingMesh{};
 }
 
@@ -950,6 +1020,7 @@ void ProcessExecutor::request_arrival(std::size_t node) {
   }
   util::MutexLock lock(stream_mutex_);
   arrivals_.push_back(node);
+  wake_locked();
 }
 
 std::string ProcessExecutor::flight_tail(std::size_t lane,
@@ -979,6 +1050,14 @@ void ProcessExecutor::stream_begin() {
     closed_ = false;
     stream_error_ = nullptr;
     arrivals_.clear();
+    parked_ = false;
+    window_open_ = false;
+    wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+    if (wake_fd_ < 0) {
+      const int err = errno;
+      throw std::runtime_error(std::string("ProcessExecutor: eventfd: ") +
+                               describe_errno(err));
+    }
   }
   pending_.clear();
   admit_time_.clear();
@@ -1022,6 +1101,7 @@ void ProcessExecutor::stream_push(Bytes item) {
   }
   if (obs_metrics_.items_pushed) obs_metrics_.items_pushed->add(1);
   incoming_.emplace_back(pushed_++, std::move(item));
+  if (window_open_) wake_locked();
 }
 
 std::optional<Bytes> ProcessExecutor::stream_try_pop() {
@@ -1043,6 +1123,7 @@ std::optional<Bytes> ProcessExecutor::stream_try_pop() {
 void ProcessExecutor::stream_close() {
   util::MutexLock lock(stream_mutex_);
   closed_ = true;
+  wake_locked();
 }
 
 core::RunReport ProcessExecutor::stream_finish() {
@@ -1058,6 +1139,7 @@ core::RunReport ProcessExecutor::stream_finish() {
   }
   controller_thread_.join();
   stream_active_ = false;
+  close_wake_fd();
   {
     util::MutexLock lock(stream_mutex_);
     if (stream_error_) std::rethrow_exception(stream_error_);

@@ -36,6 +36,14 @@
 // and stream_finish() rethrows the failure. run() is a batch wrapper
 // over one stream.
 //
+// Wake-up: the poll loop is event-driven. Besides the worker sockets its
+// poll set holds one eventfd that stream_push (when the credit window
+// has room), stream_close and request_arrival write — edge-triggered, at
+// most once per park, and only while the loop is parked in poll(). The
+// poll timeout is the nearest real deadline: the next adaptation epoch,
+// the earliest respawn backoff, or the stall-check cadence; with none of
+// them the loop sleeps until an fd fires.
+//
 // Fault tolerance (config.recovery.enabled): a worker death no longer
 // fails the run. Every admitted item is journaled (seq, payload) until
 // its result reaches the ordered output buffer; on a death the parent
@@ -198,6 +206,14 @@ class ProcessExecutor : private control::AdaptationHost {
   /// failure captured into stream_error_.
   void controller_main();
   void event_loop();
+  /// Real milliseconds until the loop's nearest deadline (next epoch,
+  /// earliest respawn, stall-check cadence); -1 = none, block until an
+  /// fd fires.
+  int poll_timeout_ms(double next_epoch) const;
+  /// Writes the wake eventfd if the loop is parked, and unparks it.
+  void wake_locked() GRIDPIPE_REQUIRES(stream_mutex_);
+  /// Closes the wake eventfd (idempotent; every teardown path calls it).
+  void close_wake_fd() noexcept;
   void handle_frame(std::size_t source, const comm::wire::FrameView& frame);
   void admit(grid::NodeId dst, std::uint64_t index, Bytes payload);
   /// Graceful: broadcast kShutdown, drain to EOF, close, reap.
@@ -311,6 +327,20 @@ class ProcessExecutor : private control::AdaptationHost {
   std::exception_ptr stream_error_ GRIDPIPE_GUARDED_BY(stream_mutex_);
   /// Nodes request_arrival() asked the controller thread to bring up.
   std::vector<std::size_t> arrivals_ GRIDPIPE_GUARDED_BY(stream_mutex_);
+  /// Set by the controller just before it blocks in poll(); cleared by
+  /// the first wake (at most one eventfd write per park) and at the top
+  /// of every loop pass.
+  bool parked_ GRIDPIPE_GUARDED_BY(stream_mutex_) = false;
+  /// The credit window had room when the loop parked. A push into a full
+  /// window needs no wake: only a result can make progress, and a result
+  /// arrives on a worker socket that is already in the poll set.
+  bool window_open_ GRIDPIPE_GUARDED_BY(stream_mutex_) = false;
+  /// The controller's wake eventfd (-1 outside a stream). Opened before
+  /// the controller thread starts and closed only by that thread or while
+  /// no controller thread runs, always under stream_mutex_ with parked_
+  /// cleared, so the controller reads it unlocked and producers (which
+  /// write it only while parked_) never see a stale descriptor.
+  int wake_fd_ = -1;
 
   // ---- recovery state (controller thread only; the atomics mirror the
   // counters for status()/stream_finish() readers) ----

@@ -1,10 +1,17 @@
 // Tests for the message-passing DistributedExecutor: wire formats,
-// end-to-end correctness over the communicator, heterogeneity emulation
-// and controller-driven adaptation.
+// end-to-end correctness over the communicator, heterogeneity emulation,
+// controller-driven adaptation and the controller's wake-up on a stage
+// failure.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <future>
+#include <string>
+#include <thread>
 
 #include "core/dist_executor.hpp"
 #include "grid/builders.hpp"
@@ -234,6 +241,46 @@ TEST(DistributedExecutor, OnChangeTriggerReactsToLoadStep) {
         std::any_cast<const Bytes&>(report.outputs[static_cast<std::size_t>(i)]);
     EXPECT_EQ(int_of_bytes(out), (i + 1) * 3 - 1);
   }
+}
+
+TEST(DistributedExecutor, StageFailureWakesParkedController) {
+  // With adaptation off the controller parks with no timeout. Here the
+  // stream is closed while item 3 is still inside a stage that is about
+  // to throw, and nothing more is pushed: the worker's captured error is
+  // the only event left that can end the stream, so a missing wake shows
+  // up as a hang (reported by the watchdog) instead of an exception.
+  const auto g = grid::uniform_cluster(2, 1.0, 1e-3, 1e8);
+  auto stages = arithmetic_stages();
+  stages[1].fn = [](ByteSpan in, Bytes& out) {
+    if (int_of_bytes(in) == 4) {  // item 3 after the +1 stage
+      std::this_thread::sleep_for(std::chrono::milliseconds(30));
+      throw std::runtime_error("stage triple rejects item 3");
+    }
+    append_int(out, int_of_bytes(in) * 3);
+  };
+  DistributedExecutor executor(g, std::move(stages),
+                               sched::Mapping(std::vector<NodeId>{0, 1, 0}),
+                               fast_dist_config());
+  auto finish = std::async(std::launch::async, [&executor] {
+    executor.stream_begin();
+    for (int i = 0; i < 6; ++i) executor.stream_push(bytes_of_int(i));
+    executor.stream_close();
+    try {
+      executor.stream_finish();
+    } catch (const std::runtime_error& error) {
+      return std::string(error.what());
+    }
+    return std::string("stream_finish returned without the stage error");
+  });
+  if (finish.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+    ADD_FAILURE()
+        << "stream_finish hung: the stage error never woke the controller";
+    // The hung future would block its destructor forever; end the run
+    // so the failure is reported instead of a ctest timeout.
+    std::fflush(stdout);
+    std::_Exit(1);
+  }
+  EXPECT_EQ(finish.get(), "stage triple rejects item 3");
 }
 
 TEST(DistributedExecutor, RejectsBadConstruction) {

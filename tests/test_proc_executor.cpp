@@ -1,14 +1,17 @@
 // Tests for the process-per-node runtime: the shared comm::wire frame
 // format (round-trips for every kind, malformed/truncated rejection),
 // end-to-end correctness over real forked processes and Unix sockets,
-// crash detection, controller-driven adaptation (the same kOnChange
-// quiet-epoch/load-step scenarios the other runtimes pass), and decision
-// parity with the DistributedExecutor.
+// crash detection, descriptor hygiene of the controller's wake eventfd,
+// controller-driven adaptation (the same kOnChange quiet-epoch/load-step
+// scenarios the other runtimes pass), and decision parity with the
+// DistributedExecutor.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstring>
+#include <filesystem>
+#include <string>
 #include <thread>
 
 #include <signal.h>
@@ -376,6 +379,92 @@ TEST(ProcessExecutor, StatusSnapshotIsWellFormedMidStream) {
   executor.stream_close();
   const auto report = executor.stream_finish();
   EXPECT_EQ(report.items, 20u);
+}
+
+// ------------------------------------------------------- wake-fd hygiene
+
+std::size_t open_fd_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++n;
+  }
+  return n;
+}
+
+bool holds_eventfd(int pid) {
+  const std::filesystem::path dir =
+      "/proc/" + std::to_string(pid) + "/fd";
+  std::error_code error;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, error)) {
+    const auto target = std::filesystem::read_symlink(entry.path(), error);
+    if (!error && target.string() == "anon_inode:[eventfd]") return true;
+  }
+  return false;
+}
+
+TEST(ProcessExecutor, StreamCyclesLeakNoDescriptors) {
+  // Twenty begin/finish cycles on one executor, one of them failing on
+  // a crashed worker: every socket, doorbell and the wake eventfd must
+  // be closed on both the graceful and the crash teardown paths.
+  const auto g = grid::uniform_cluster(2, 1.0, 1e-3, 1e8);
+  auto stages = arithmetic_stages();
+  stages[1].fn = [](core::ByteSpan in, Bytes& out) {
+    if (int_of_bytes(in) == 1001) _exit(7);  // item value 1000
+    append_int(out, int_of_bytes(in) * 3);
+  };
+  ProcessExecutor executor(g, std::move(stages),
+                           sched::Mapping(std::vector<NodeId>{0, 1, 0}),
+                           fast_proc_config());
+  const std::size_t before = open_fd_count();
+  for (int cycle = 0; cycle < 20; ++cycle) {
+    executor.stream_begin();
+    const bool crash = cycle == 10;
+    executor.stream_push(bytes_of_int(crash ? 1000 : cycle));
+    executor.stream_close();
+    if (crash) {
+      EXPECT_THROW(executor.stream_finish(), std::runtime_error);
+    } else {
+      EXPECT_EQ(executor.stream_finish().items, 1u) << "cycle " << cycle;
+    }
+  }
+  EXPECT_EQ(open_fd_count(), before);
+}
+
+TEST(ProcessExecutor, WorkersHoldNoWakeEventfd) {
+  // The wake eventfd is the parent's alone: neither the initial fleet nor
+  // a respawned worker may keep a copy. Every worker (the respawn
+  // included, via the replayed items) has executed a stage by the time
+  // the outputs are in, so each has long since dropped its inherited
+  // fds.
+  const auto g = grid::uniform_cluster(2, 1.0, 1e-3, 1e8);
+  ProcExecutorConfig config = fast_proc_config();
+  config.recovery.enabled = true;
+  config.recovery.faults.kills = {{/*node=*/1, /*item=*/2}};
+  ProcessExecutor executor(g, arithmetic_stages(),
+                           sched::Mapping(std::vector<NodeId>{0, 1, 0}),
+                           config);
+  executor.stream_begin();
+  EXPECT_TRUE(holds_eventfd(::getpid())) << "probe sees no parent eventfd";
+  for (int i = 0; i < 8; ++i) executor.stream_push(bytes_of_int(i));
+  std::size_t popped = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (popped < 8 && std::chrono::steady_clock::now() < deadline) {
+    if (executor.stream_try_pop()) {
+      ++popped;
+    } else {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  ASSERT_EQ(popped, 8u);
+  for (const int pid : executor.worker_pids()) {
+    ASSERT_GT(pid, 0);
+    EXPECT_FALSE(holds_eventfd(pid)) << "worker pid " << pid;
+  }
+  executor.stream_close();
+  EXPECT_EQ(executor.stream_finish().respawns, 1u);
+  EXPECT_FALSE(holds_eventfd(::getpid())) << "wake eventfd outlived the stream";
 }
 
 TEST(ProcessExecutor, RejectsBadConstruction) {

@@ -485,6 +485,111 @@ TEST(RecoverIntegration, NodeArrivalRejoinsDegradedNode) {
   EXPECT_EQ(report.respawns, 1u);  // the arrival fork counts as a respawn
 }
 
+// ---------------------------------- integration: wake-ups on idle streams
+
+// Heartbeats, stall checks and adaptation all off: on an idle stream the
+// controller then has no periodic wake left, so only the event under
+// test can move it, and a missing wake shows up as a timeout.
+proc::ProcExecutorConfig quiet_recovering_config() {
+  proc::ProcExecutorConfig config = recovering_config();
+  config.time_scale = 0.01;
+  config.health_interval = 0.0;
+  config.stall_after = 0.0;
+  return config;
+}
+
+/// Pops `n` outputs, failing the test if they do not all arrive in time.
+std::vector<Bytes> pop_n(proc::ProcessExecutor& executor, std::size_t n) {
+  std::vector<Bytes> outputs;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (outputs.size() < n && std::chrono::steady_clock::now() < deadline) {
+    if (auto out = executor.stream_try_pop()) {
+      outputs.push_back(std::move(*out));
+    } else {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  EXPECT_EQ(outputs.size(), n) << "outputs stopped arriving";
+  return outputs;
+}
+
+TEST(RecoverIntegration, ArrivalOnIdleStreamForksPromptly) {
+  const auto g = grid::uniform_cluster(3, 1.0, 1e-3, 1e8);
+  proc::ProcExecutorConfig config = quiet_recovering_config();
+  config.recovery.respawn.max_respawns = 0;  // degrade on the death
+  config.recovery.faults.kills = {{/*node=*/1, /*item=*/5}};
+  proc::ProcessExecutor executor(g, arithmetic_stages(),
+                                 sched::Mapping(std::vector<NodeId>{0, 1, 2}),
+                                 config);
+  executor.stream_begin();
+  for (int i = 0; i < 10; ++i) executor.stream_push(bytes_of_int(i));
+  pop_n(executor, 10);
+  ASSERT_EQ(executor.worker_pids().at(1), -1) << "node 1 was not degraded";
+
+  // Nothing is in flight now; let the controller park.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const auto asked = std::chrono::steady_clock::now();
+  executor.request_arrival(1);
+  while (executor.worker_pids().at(1) <= 0) {
+    ASSERT_LT(std::chrono::steady_clock::now() - asked, std::chrono::seconds(1))
+        << "the arrival request did not wake the parked controller";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  for (int i = 10; i < 20; ++i) executor.stream_push(bytes_of_int(i));
+  const std::vector<Bytes> tail = pop_n(executor, 10);
+  executor.stream_close();
+  const core::RunReport report = executor.stream_finish();
+  for (std::size_t i = 0; i < tail.size(); ++i) {
+    const int item = static_cast<int>(i) + 10;
+    EXPECT_EQ(int_of_bytes(tail[i]), (item + 1) * 3 - 1) << "item " << item;
+  }
+  EXPECT_EQ(report.node_losses, 1u);
+  EXPECT_EQ(report.respawns, 1u);  // the arrival fork
+}
+
+TEST(RecoverIntegration, RespawnFiresAfterBackoffOnIdleStream) {
+  // An external SIGKILL on an idle stream: the socket EOF wakes the
+  // controller once, and from then on the respawn deadline is the only
+  // thing that can bound its poll.
+  const auto g = grid::uniform_cluster(3, 1.0, 1e-3, 1e8);
+  proc::ProcExecutorConfig config = quiet_recovering_config();
+  config.recovery.respawn.backoff_ms = 40.0;
+  proc::ProcessExecutor executor(g, arithmetic_stages(),
+                                 sched::Mapping(std::vector<NodeId>{0, 1, 2}),
+                                 config);
+  executor.stream_begin();
+  const int victim = executor.worker_pids().at(1);
+  for (int i = 0; i < 6; ++i) executor.stream_push(bytes_of_int(i));
+  pop_n(executor, 6);
+
+  const auto killed = std::chrono::steady_clock::now();
+  ASSERT_EQ(::kill(victim, SIGKILL), 0);
+  for (;;) {
+    const int pid = executor.worker_pids().at(1);
+    if (pid > 0 && pid != victim) break;
+    ASSERT_LT(std::chrono::steady_clock::now() - killed,
+              std::chrono::seconds(2))
+        << "the respawn deadline did not bound the controller's poll";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GE(std::chrono::steady_clock::now() - killed,
+            std::chrono::milliseconds(40))
+      << "respawned before its backoff";
+
+  for (int i = 6; i < 12; ++i) executor.stream_push(bytes_of_int(i));
+  const std::vector<Bytes> tail = pop_n(executor, 6);
+  executor.stream_close();
+  const core::RunReport report = executor.stream_finish();
+  for (std::size_t i = 0; i < tail.size(); ++i) {
+    const int item = static_cast<int>(i) + 6;
+    EXPECT_EQ(int_of_bytes(tail[i]), (item + 1) * 3 - 1) << "item " << item;
+  }
+  EXPECT_EQ(report.node_losses, 1u);
+  EXPECT_EQ(report.respawns, 1u);
+}
+
 TEST(RecoverIntegration, ArrivalRequestsAreValidated) {
   const auto g = grid::uniform_cluster(2, 1.0, 1e-3, 1e8);
   proc::ProcessExecutor off(g, arithmetic_stages(),

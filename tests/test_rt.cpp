@@ -2,12 +2,14 @@
 // validation errors, RuntimeKind parsing, streaming session semantics,
 // the cross-substrate golden parity suite — the same typed stream
 // through all four runtimes via rt::make_runtime must produce identical
-// ordered outputs and consistent epoch decisions — and the end-to-end
-// observability contract (spans and metrics uniform across substrates,
+// ordered outputs and consistent epoch decisions — the idle-session
+// latency contract (a push or a close is noticed at once on every live
+// substrate), and the end-to-end observability contract (spans and metrics uniform across substrates,
 // worker spans shipped over the wire on dist/process).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 
@@ -337,6 +339,75 @@ TEST(RtParity, EpochDecisionsConsistentOnStableGrid) {
       EXPECT_EQ(report.initial_mapping, planned)
           << to_string(kind) << ": substrates disagree on the t=0 plan";
     }
+  }
+}
+
+// ------------------------------------------------------------ latency
+
+// An idle session must notice a push or a close at once rather than at
+// its controller's next timed wake-up. Both bounds are an order of
+// magnitude above a healthy run, to leave room for sanitizer builds.
+constexpr RuntimeKind kLiveKinds[] = {RuntimeKind::kThreads,
+                                      RuntimeKind::kDist,
+                                      RuntimeKind::kProcess};
+
+double ms_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+/// Spins on try_pop until one output arrives (or 10 s pass).
+std::optional<std::any> pop_one(Session& session) {
+  const auto t0 = std::chrono::steady_clock::now();
+  while (ms_since(t0) < 10'000.0) {
+    if (auto out = session.try_pop()) return out;
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  return std::nullopt;
+}
+
+TEST(RtLatency, IdleSessionRoundTripIsPrompt) {
+  const auto g = grid::uniform_cluster(3, 1.0, 1e-3, 1e8);
+  for (RuntimeKind kind : kLiveKinds) {
+    RuntimeOptions options;
+    options.time_scale = 0.01;
+    auto runtime = make_runtime(kind, g, typed_spec(), options);
+    auto session = runtime->open();
+    std::vector<double> round_trip_ms;
+    for (std::int64_t i = 0; i < 9; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));  // go idle
+      const auto t0 = std::chrono::steady_clock::now();
+      session->push(std::any(i));
+      ASSERT_TRUE(pop_one(*session).has_value())
+          << to_string(kind) << " item " << i;
+      round_trip_ms.push_back(ms_since(t0));
+    }
+    std::sort(round_trip_ms.begin(), round_trip_ms.end());
+    EXPECT_LT(round_trip_ms[4], 10.0)
+        << to_string(kind) << ": median push->pop on an idle session";
+    session->close();
+    EXPECT_EQ(session->report().items, 9u) << to_string(kind);
+  }
+}
+
+TEST(RtLatency, CloseToReportIsPrompt) {
+  const auto g = grid::uniform_cluster(3, 1.0, 1e-3, 1e8);
+  for (RuntimeKind kind : kLiveKinds) {
+    RuntimeOptions options;
+    options.time_scale = 0.01;
+    auto runtime = make_runtime(kind, g, typed_spec(), options);
+    auto session = runtime->open();
+    for (auto& item : int64_items(4)) session->push(std::move(item));
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_TRUE(pop_one(*session).has_value()) << to_string(kind);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));  // go idle
+    const auto t0 = std::chrono::steady_clock::now();
+    session->close();
+    EXPECT_EQ(session->report().items, 4u) << to_string(kind);
+    EXPECT_LT(ms_since(t0), 20.0)
+        << to_string(kind) << ": close()->report() after the last pop";
   }
 }
 
