@@ -538,12 +538,15 @@ void ProcessExecutor::event_loop() {
     // after admission, so a push only wakes the loop when it could
     // actually be admitted. Anything that raced in since the top of the
     // loop (a push with room, a close that drains the stream, an
-    // arrival) turns the park into a non-blocking poll instead.
+    // arrival) turns the park into a non-blocking poll instead. So does
+    // a death queued after this pass's supervisor step (a failed admit
+    // or replay flush, a failed respawn fork): its socket is already
+    // closed, so no fd in the poll set would ever report it.
     int timeout_ms = poll_timeout_ms(next_epoch);
     {
       util::MutexLock lock(stream_mutex_);
       const bool room = admitted_ - completed_ < config_.window;
-      if ((room && !incoming_.empty()) ||
+      if (!dead_nodes_.empty() || (room && !incoming_.empty()) ||
           (closed_ && completed_ == pushed_) || !arrivals_.empty()) {
         timeout_ms = 0;
       } else {

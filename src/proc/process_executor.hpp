@@ -42,7 +42,8 @@
 // most once per park, and only while the loop is parked in poll(). The
 // poll timeout is the nearest real deadline: the next adaptation epoch,
 // the earliest respawn backoff, or the stall-check cadence; with none of
-// them the loop sleeps until an fd fires.
+// them the loop sleeps until an fd fires. A worker death queued without
+// a socket event (a failed flush or respawn fork) skips the park.
 //
 // Fault tolerance (config.recovery.enabled): a worker death no longer
 // fails the run. Every admitted item is journaled (seq, payload) until

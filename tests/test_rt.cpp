@@ -4,8 +4,9 @@
 // through all four runtimes via rt::make_runtime must produce identical
 // ordered outputs and consistent epoch decisions — the idle-session
 // latency contract (a push or a close is noticed at once on every live
-// substrate), and the end-to-end observability contract (spans and metrics uniform across substrates,
-// worker spans shipped over the wire on dist/process).
+// substrate), and the end-to-end observability contract (spans and
+// metrics uniform across substrates, worker spans shipped over the wire
+// on dist/process).
 
 #include <gtest/gtest.h>
 
