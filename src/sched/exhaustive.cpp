@@ -5,6 +5,20 @@
 
 namespace gridpipe::sched {
 
+namespace {
+
+/// Distinct nodes of a one-replica-per-stage assignment; what
+/// Mapping::nodes_used().size() gives, without allocating.
+std::size_t distinct_nodes(const std::vector<grid::NodeId>& assign) {
+  std::size_t n = 0;
+  for (auto it = assign.begin(); it != assign.end(); ++it) {
+    if (std::find(assign.begin(), it, *it) == it) ++n;
+  }
+  return n;
+}
+
+}  // namespace
+
 std::optional<MapperResult> ExhaustiveMapper::best(
     const PipelineProfile& profile, const ResourceEstimate& est) const {
   profile.validate();
@@ -23,21 +37,27 @@ std::optional<MapperResult> ExhaustiveMapper::best(
   if (options_.pin_first_stage) assign[0] = profile.source_node;
 
   MapperResult best_result;
+  std::size_t best_nodes = 0;
   bool have_best = false;
   std::size_t evaluated = 0;
 
-  // Odometer enumeration over the free stages.
+  // Odometer enumeration over the free stages. One candidate and one
+  // breakdown are rewritten in place, so only an improvement copies.
   const std::size_t first_free = options_.pin_first_stage ? 1 : 0;
+  Mapping candidate{assign};
+  ThroughputBreakdown bd;
   for (;;) {
-    Mapping candidate{assign};
-    const ThroughputBreakdown bd = model_.breakdown(profile, est, candidate);
+    for (std::size_t i = first_free; i < ns; ++i) {
+      candidate.reassign(i, assign[i]);
+    }
+    model_.breakdown_into(profile, est, candidate, bd);
     ++evaluated;
-    const std::size_t nodes_used = candidate.nodes_used().size();
-    if (!have_best ||
-        model_.better(bd, nodes_used, best_result.breakdown,
-                      best_result.mapping.nodes_used().size())) {
-      best_result.mapping = std::move(candidate);
+    const std::size_t nodes_used = distinct_nodes(assign);
+    if (!have_best || model_.better(bd, nodes_used, best_result.breakdown,
+                                    best_nodes)) {
+      best_result.mapping = candidate;
       best_result.breakdown = bd;
+      best_nodes = nodes_used;
       have_best = true;
     }
     // Increment the odometer.

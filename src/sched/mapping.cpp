@@ -125,10 +125,13 @@ void Mapping::validate(std::size_t num_nodes) const {
       throw std::invalid_argument("Mapping: stage " + std::to_string(i) +
                                   " has no replicas");
     }
-    std::set<grid::NodeId> unique(reps.begin(), reps.end());
-    if (unique.size() != reps.size()) {
-      throw std::invalid_argument("Mapping: duplicate replica nodes on stage " +
-                                  std::to_string(i));
+    // Replica lists are a handful of nodes: a quadratic scan beats
+    // building a set for every candidate a mapper validates.
+    for (auto r = reps.begin(); r != reps.end(); ++r) {
+      if (std::find(reps.begin(), r, *r) != r) {
+        throw std::invalid_argument(
+            "Mapping: duplicate replica nodes on stage " + std::to_string(i));
+      }
     }
     for (const grid::NodeId n : reps) {
       if (n >= num_nodes) {

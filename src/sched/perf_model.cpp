@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <stdexcept>
 
 namespace gridpipe::sched {
@@ -85,6 +86,15 @@ ResourceEstimate ResourceEstimate::from_monitor(
 ThroughputBreakdown PerfModel::breakdown(const PipelineProfile& profile,
                                          const ResourceEstimate& est,
                                          const Mapping& mapping) const {
+  ThroughputBreakdown bd;
+  breakdown_into(profile, est, mapping, bd);
+  return bd;
+}
+
+void PerfModel::breakdown_into(const PipelineProfile& profile,
+                               const ResourceEstimate& est,
+                               const Mapping& mapping,
+                               ThroughputBreakdown& bd) const {
   profile.validate();
   mapping.validate(est.num_nodes);
   if (mapping.num_stages() != profile.num_stages()) {
@@ -92,7 +102,6 @@ ThroughputBreakdown PerfModel::breakdown(const PipelineProfile& profile,
   }
 
   const std::size_t ns = profile.num_stages();
-  ThroughputBreakdown bd;
   bd.node_busy.assign(est.num_nodes, 0.0);
   bd.edge_time.assign(ns + 1, 0.0);
 
@@ -116,20 +125,15 @@ ThroughputBreakdown PerfModel::breakdown(const PipelineProfile& profile,
   // serial link (a,b) for its transfer time.
   bd.link_busy.assign(est.num_nodes * est.num_nodes, 0.0);
   double serialized_comm = 0.0;
-  auto edge_nodes = [&](std::size_t e) {
-    // Returns (from set, to set) for edge e in [0, ns].
-    const std::vector<grid::NodeId> source{profile.source_node};
-    const std::vector<grid::NodeId> sink{profile.sink_node};
-    const auto& from = (e == 0) ? source : mapping.replicas(e - 1);
-    const auto& to = (e == ns) ? sink : mapping.replicas(e);
-    return std::pair<std::vector<grid::NodeId>, std::vector<grid::NodeId>>(
-        from, to);
-  };
-
+  using Nodes = std::span<const grid::NodeId>;
   for (std::size_t e = 0; e <= ns; ++e) {
     const bool io_edge = (e == 0 || e == ns);
     if (io_edge && !profile.count_io_edges) continue;
-    const auto [from, to] = edge_nodes(e);
+    // Views, not copies: the mappers call this once per candidate.
+    const Nodes from = e == 0 ? Nodes(&profile.source_node, 1)
+                              : Nodes(mapping.replicas(e - 1));
+    const Nodes to = e == ns ? Nodes(&profile.sink_node, 1)
+                             : Nodes(mapping.replicas(e));
     const double pairs = static_cast<double>(from.size() * to.size());
     double worst_pair = 0.0;
     double mean_inter_node = 0.0;
@@ -158,7 +162,6 @@ ThroughputBreakdown PerfModel::breakdown(const PipelineProfile& profile,
   double cap = std::min(bd.node_cap, bd.edge_cap);
   if (options_.network_serialization) cap = std::min(cap, bd.network_cap);
   bd.throughput = std::isinf(cap) ? 0.0 : cap;
-  return bd;
 }
 
 double PerfModel::latency_estimate(const PipelineProfile& profile,

@@ -111,6 +111,11 @@ class PerfModel {
   ThroughputBreakdown breakdown(const PipelineProfile& profile,
                                 const ResourceEstimate& est,
                                 const Mapping& mapping) const;
+  /// breakdown() into `bd`, reusing the storage of its vectors: for
+  /// search loops that score many candidates.
+  void breakdown_into(const PipelineProfile& profile,
+                      const ResourceEstimate& est, const Mapping& mapping,
+                      ThroughputBreakdown& bd) const;
 
   /// Mean end-to-end item latency under open arrivals at `arrival_rate`
   /// items/s: per-stage service plus an M/D/1 queueing delay at each

@@ -3,6 +3,8 @@
 // calibration-table regimes (DESIGN.md EXP-T1) and cross-mapper
 // optimality properties on random instances.
 
+#include <optional>
+
 #include <gtest/gtest.h>
 
 #include "grid/builders.hpp"
@@ -141,6 +143,44 @@ TEST(ExhaustiveMapper, CountsCandidates) {
   const auto result = mapper.best(c.p, c.est);
   ASSERT_TRUE(result);
   EXPECT_EQ(result->candidates_evaluated, 27u);  // 3^3
+}
+
+TEST(ExhaustiveMapper, MatchesFreshScoringOfEveryCandidate) {
+  // Links cost next to nothing, so comm times tie. With stage 1 pinned on
+  // node 0 (the bottleneck), (1,2,3) is the first mapping to reach the
+  // best throughput and (1,3,3) the later one that wins on nodes used.
+  const PerfModel model;
+  const Grid g = grid::heterogeneous_cluster({1.0, 1.5, 3.0}, 1e-15, 1e30);
+  const auto p = PipelineProfile::uniform(3, 1.0, 1.0);
+  const auto est = ResourceEstimate::from_grid(g, 0.0);
+  for (const bool pin : {false, true}) {
+    std::optional<Mapping> best;
+    ThroughputBreakdown best_bd;
+    for (NodeId a = 0; a < 3; ++a) {
+      for (NodeId b = 0; b < 3; ++b) {
+        for (NodeId c = 0; c < 3; ++c) {
+          if (pin && a != p.source_node) continue;
+          const Mapping m(std::vector<NodeId>{a, b, c});
+          const ThroughputBreakdown bd = model.breakdown(p, est, m);
+          if (!best || model.better(bd, m.nodes_used().size(), best_bd,
+                                    best->nodes_used().size())) {
+            best = m;
+            best_bd = bd;
+          }
+        }
+      }
+    }
+    ExhaustiveOptions opts;
+    opts.pin_first_stage = pin;
+    const auto result = ExhaustiveMapper(model, opts).best(p, est);
+    ASSERT_TRUE(result);
+    EXPECT_EQ(result->mapping, *best) << "pin_first_stage=" << pin;
+    EXPECT_EQ(result->breakdown.throughput, best_bd.throughput);
+    EXPECT_EQ(result->breakdown.link_busy, best_bd.link_busy);
+    if (pin) {
+      EXPECT_EQ(result->mapping.to_string(), "(1,3,3)");
+    }
+  }
 }
 
 TEST(DpContiguousMapper, MatchesExhaustiveOnContiguousOptimum) {

@@ -228,6 +228,29 @@ TEST(PerfModel, BreakdownIsConsistent) {
                    f.model.throughput(f.p, f.est, m));
 }
 
+TEST(PerfModel, BreakdownIntoMatchesBreakdownWhenReused) {
+  // One breakdown rewritten for a replicated mapping, then a plain one on
+  // fewer nodes: nothing of the first may leak into the second.
+  ModelFixture f;
+  f.p.count_io_edges = true;
+  Mapping replicated(std::vector<NodeId>{0, 1, 2});
+  replicated.add_replica(1, 0);
+  const Mapping folded(std::vector<NodeId>{1, 1, 1});
+  ThroughputBreakdown reused;
+  for (const Mapping& m : {replicated, folded}) {
+    f.model.breakdown_into(f.p, f.est, m, reused);
+    const ThroughputBreakdown fresh = f.model.breakdown(f.p, f.est, m);
+    EXPECT_EQ(reused.node_busy, fresh.node_busy);
+    EXPECT_EQ(reused.edge_time, fresh.edge_time);
+    EXPECT_EQ(reused.link_busy, fresh.link_busy);
+    EXPECT_EQ(reused.node_cap, fresh.node_cap);
+    EXPECT_EQ(reused.edge_cap, fresh.edge_cap);
+    EXPECT_EQ(reused.network_cap, fresh.network_cap);
+    EXPECT_EQ(reused.throughput, fresh.throughput);
+    EXPECT_EQ(reused.total_comm_time, fresh.total_comm_time);
+  }
+}
+
 TEST(PerfModel, MismatchedStagesThrow) {
   ModelFixture f;
   EXPECT_THROW(f.model.throughput(f.p, f.est,
